@@ -572,9 +572,9 @@ func (mc *machine) restoreSnap() {
 	mc.out = mc.out[:sn.outLen]
 	mc.done = sn.done
 	if mc.obs != nil {
-		// Replay the restored call stack so observers can mirror it; the
-		// legacy Trace adapter skips these Resume entries (it never fired
-		// on snapshot restores).
+		// Replay the restored call stack so observers can mirror it. The
+		// entries are marked Resume: the frames were entered before the
+		// failure, so an observer counting block executions skips them.
 		for i := range mc.frames {
 			mc.emit(Event{Kind: EvBlockEnter, Fn: mc.frames[i].fn,
 				Block: mc.frames[i].block, Call: true, Resume: true})

@@ -28,10 +28,13 @@ const runSafety = 1e-3
 //     the whole dispatch — accounting, arithmetic, memory access, control
 //     flow — runs inline, and straight-line runs charge on one
 //     precomputed capacitor-margin decision. Ledger sums stay
-//     per-instruction, so float results remain bit-identical.
+//     per-instruction, so float results remain bit-identical. The
+//     profiler rides this loop too: a Config.Counts set is bumped at
+//     each control transfer (boot, call, branch, jump) and nowhere else,
+//     so a profiling run costs what a plain run costs.
 //   - steppedLoop: the exact mirror of the interpreter's step(), on
 //     precomputed costs and resolved operands, for observed or scheduled
-//     runs.
+//     runs. Config.Validate keeps counted runs off it.
 //
 // This gate is also what keeps batched energy accounting sound under
 // external power models: any non-nil Config.Schedule — including
@@ -72,6 +75,12 @@ func (mc *machine) fastLoop() (bool, error) {
 	fr := mc.top()
 	code := fr.cb.Code
 	runs := fr.cb.Runs
+	// Control-transfer counters: the loop starts at boot, so main's
+	// invocation is counted here; calls, branches and jumps count below.
+	cnt := mc.cfg.Counts
+	if cnt != nil {
+		cnt.call(mc.prog.FuncOf(fr.fn))
+	}
 	for {
 		if mc.res.Steps >= mc.cfg.MaxSteps {
 			mc.close(OutOfSteps)
@@ -302,13 +311,19 @@ func (mc *machine) fastLoop() (bool, error) {
 			fr = &mc.frames[len(mc.frames)-1]
 			code = fr.cb.Code
 			runs = fr.cb.Runs
+			if cnt != nil {
+				cnt.call(cf)
+			}
 		case dispatch.CodeOut:
 			mc.out = append(mc.out, regs[ci.A])
 			fr.pc++
 		case dispatch.CodeBr:
-			t := ci.Else
+			t, side := ci.Else, int32(1)
 			if regs[ci.A] != 0 {
-				t = ci.Then
+				t, side = ci.Then, 0
+			}
+			if cnt != nil {
+				cnt.transfer(fr.cb, t, side)
 			}
 			fr.block = t.IR
 			fr.cb = t
@@ -317,6 +332,9 @@ func (mc *machine) fastLoop() (bool, error) {
 			runs = t.Runs
 		case dispatch.CodeJmp:
 			t := ci.Then
+			if cnt != nil {
+				cnt.transfer(fr.cb, t, 0)
+			}
 			fr.block = t.IR
 			fr.cb = t
 			fr.pc = 0

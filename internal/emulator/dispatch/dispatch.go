@@ -158,6 +158,11 @@ type Block struct {
 	id int32 // global ordinal, fingerprint identity for branch targets
 }
 
+// ID returns the block's ordinal in [0, Program.NumBlocks()): blocks are
+// numbered in module order, function by function, so the numbering is a
+// pure function of the module's structure.
+func (b *Block) ID() int32 { return b.id }
+
 // Func is a compiled function.
 type Func struct {
 	IR     *ir.Func
@@ -166,6 +171,9 @@ type Func struct {
 
 	id int32
 }
+
+// ID returns the function's index in Program.Funcs.
+func (f *Func) ID() int32 { return f.id }
 
 // Program is a compiled module bound to one energy model. Immutable
 // after Compile; share freely across goroutines.
@@ -184,12 +192,17 @@ type Program struct {
 
 	Funcs []*Func
 
+	nblocks int32
+
 	slotOf  map[*ir.Var]int32
 	fnOf    map[*ir.Func]*Func
 	blockOf map[*ir.Block]*Block
 
 	fp uint64
 }
+
+// NumBlocks returns the number of compiled blocks across all functions.
+func (p *Program) NumBlocks() int { return int(p.nblocks) }
 
 // SlotOf resolves a variable's storage slot. The second result is false
 // for a variable outside the compiled slot table (a staleness signal:
@@ -258,6 +271,7 @@ func Compile(mod *ir.Module, model *energy.Model) *Program {
 		p.Funcs = append(p.Funcs, cf)
 		p.fnOf[f] = cf
 	}
+	p.nblocks = blockID
 	for _, cf := range p.Funcs {
 		for _, cb := range cf.Blocks {
 			p.compileBlock(cb)

@@ -120,16 +120,11 @@ type Config struct {
 	// reads. A nil observer costs nothing per instruction.
 	Observer Observer
 
-	// Trace, TraceRet and OnPoison are the legacy observation callbacks,
-	// kept as thin adapters over the Observer event stream (see
-	// legacyObserver). Trace receives every basic block entered, with its
-	// function; TraceRet fires on every function return (including
-	// main's), letting a profiler mirror the call stack; OnPoison fires
-	// on every read of VM storage that was never restored (a
-	// transformation bug). New code should implement Observer instead.
-	Trace    func(fn *ir.Func, b *ir.Block)
-	TraceRet func()
-	OnPoison func(v *ir.Var, fn *ir.Func, b *ir.Block)
+	// Counts, when non-nil, accumulates block-entry, branch-side, and call
+	// counts on the compiled fast loop (see Counts). It must be sized for
+	// the module's dispatch program and is valid only on unobserved,
+	// uninterrupted continuous-power runs.
+	Counts *Counts
 }
 
 // Verdict says how a run ended.
@@ -278,6 +273,24 @@ func (cfg Config) Validate() error {
 	if cfg.MaxFailures < 0 {
 		return &ConfigError{Field: "MaxFailures", Reason: fmt.Sprintf("must not be negative, got %d", cfg.MaxFailures)}
 	}
+	if cfg.Counts != nil {
+		for _, c := range []struct {
+			set  bool
+			name string
+		}{
+			{cfg.Interpret, "Interpret"},
+			{cfg.Resume != nil, "Resume"},
+			{cfg.Hook != nil, "Hook"},
+			{cfg.Observer != nil, "Observer"},
+			{cfg.Schedule != nil, "Schedule"},
+			{cfg.Intermittent, "Intermittent"},
+		} {
+			if c.set {
+				return &ConfigError{Field: "Counts",
+					Reason: "mutually exclusive with " + c.name + " (counters ride the compiled fast loop on continuous power)"}
+			}
+		}
+	}
 	if cfg.Resume != nil {
 		if len(cfg.Inputs) > 0 {
 			return &ConfigError{Field: "Resume",
@@ -316,6 +329,11 @@ func Run(m *ir.Module, cfg Config) (*Result, error) {
 		cfg.Interpret = true
 	}
 	mach := newMachine(m, cfg)
+	if cfg.Counts != nil {
+		if err := cfg.Counts.fits(mach.prog); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Resume != nil {
 		if err := mach.installResume(cfg.Resume); err != nil {
 			return nil, err

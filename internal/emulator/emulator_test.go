@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -373,20 +374,24 @@ done:
 	}
 }
 
+// TestTraceCallback checks the block trace an observer receives: every
+// non-Resume block entry, in execution order.
 func TestTraceCallback(t *testing.T) {
 	m := loopProgram(t, 3, 0, false)
 	var names []string
 	cfg := baseCfg()
-	cfg.Trace = func(fn *ir.Func, b *ir.Block) { names = append(names, b.Name) }
+	cfg.Observer = observerFunc(func(e Event) {
+		if e.Kind == EvBlockEnter && !e.Resume {
+			names = append(names, e.Block.Name)
+		}
+	})
 	if _, err := Run(m, cfg); err != nil {
 		t.Fatal(err)
 	}
 	// entry, head, (body, head) ×3, done
-	if len(names) != 2+3*2+1 {
-		t.Errorf("trace = %v", names)
-	}
-	if names[0] != "entry" || names[len(names)-1] != "done" {
-		t.Errorf("trace endpoints wrong: %v", names)
+	want := []string{"entry", "head", "body", "head", "body", "head", "body", "head", "done"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("trace = %v, want %v", names, want)
 	}
 }
 

@@ -50,8 +50,7 @@ type machine struct {
 	res   Result
 	capEn float64 // remaining capacitor energy
 
-	// obs is the resolved effective observer (explicit Observer plus the
-	// legacy-callback adapter); nil on the unobserved fast path. Every
+	// obs is Config.Observer; nil on the unobserved fast path. Every
 	// emission site guards on nil so an unobserved run constructs no
 	// events at all.
 	obs Observer
@@ -152,7 +151,7 @@ func newMachine(m *ir.Module, cfg Config) *machine {
 		mod:      m,
 		prog:     prog,
 		cfg:      cfg,
-		obs:      observerFor(cfg),
+		obs:      cfg.Observer,
 		curSite:  -1,
 		nvm:      make([][]int64, n),
 		vm:       make([][]int64, n),

@@ -182,42 +182,3 @@ func MultiObserver(obs ...Observer) Observer {
 		return list
 	}
 }
-
-// legacyObserver adapts the pre-observer callbacks (Config.Trace,
-// TraceRet, OnPoison) onto the event stream with their historical
-// semantics: Trace fires on every block entry except the stack replay
-// after a snapshot restore (it did fire on cold restarts, and still
-// does — boot entries are not marked Resume).
-type legacyObserver struct {
-	trace    func(fn *ir.Func, b *ir.Block)
-	traceRet func()
-	onPoison func(v *ir.Var, fn *ir.Func, b *ir.Block)
-}
-
-func (lo *legacyObserver) Event(e Event) {
-	switch e.Kind {
-	case EvBlockEnter:
-		if lo.trace != nil && !e.Resume {
-			lo.trace(e.Fn, e.Block)
-		}
-	case EvFuncReturn:
-		if lo.traceRet != nil {
-			lo.traceRet()
-		}
-	case EvPoisonRead:
-		if lo.onPoison != nil {
-			lo.onPoison(e.Var, e.Fn, e.Block)
-		}
-	}
-}
-
-// observerFor resolves a config's effective observer: the explicit
-// Observer fanned together with the legacy-callback adapter, or nil when
-// the run is unobserved.
-func observerFor(cfg Config) Observer {
-	var legacy Observer
-	if cfg.Trace != nil || cfg.TraceRet != nil || cfg.OnPoison != nil {
-		legacy = &legacyObserver{trace: cfg.Trace, traceRet: cfg.TraceRet, onPoison: cfg.OnPoison}
-	}
-	return MultiObserver(legacy, cfg.Observer)
-}

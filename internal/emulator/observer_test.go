@@ -1,6 +1,7 @@
 package emulator
 
 import (
+	"schematic/internal/emulator/dispatch"
 	"schematic/internal/ir"
 
 	"fmt"
@@ -129,60 +130,144 @@ func TestRestoresCounter(t *testing.T) {
 	}
 }
 
-// TestLegacyAdapterMatchesObserver runs the same intermittent program
-// under the legacy Trace/TraceRet callbacks and under the Observer
-// stream, and requires identical call sequences: the adapter must keep
-// the historical semantics (no Trace during the stack replay after a
-// snapshot restore), and the observer reproduces them by skipping
-// Resume-marked block entries.
-func TestLegacyAdapterMatchesObserver(t *testing.T) {
-	makeCfg := func() Config {
-		cfg := baseCfg()
-		cfg.Intermittent = true
-		cfg.EB = 1500
-		return cfg
-	}
+// ratchetCallProgram is ratchetLoopProgram with the loop body moved
+// into a helper, so the rollback checkpoint snapshots a two-frame stack
+// (main in its loop body, step past the checkpoint).
+func ratchetCallProgram(t testing.TB, n int) *ir.Module {
+	t.Helper()
+	m := &ir.Module{Name: "ratchetcall"}
+	acc := m.NewGlobal("acc", 1)
+	idx := m.NewGlobal("i", 1)
 
-	var legacy []string
-	cfg := makeCfg()
-	cfg.Trace = func(fn *ir.Func, b *ir.Block) { legacy = append(legacy, fmt.Sprintf("enter %s.%s", fn.Name, b.Name)) }
-	cfg.TraceRet = func() { legacy = append(legacy, "ret") }
-	resA, err := Run(ratchetLoopProgram(t, 200), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	step := m.NewFunc("step", nil, false)
+	sb := ir.NewBuilder(step)
+	a := sb.Load(acc)
+	i := sb.Load(idx)
+	a2 := sb.Bin(ir.OpAdd, a, i)
+	i2 := sb.Bin(ir.OpAdd, i, sb.Const(1))
+	sb.Emit(&ir.Checkpoint{ID: 1, Kind: ir.CkRollback, RegsOnly: true})
+	sb.Store(acc, a2)
+	sb.Store(idx, i2)
+	sb.Ret()
 
-	var observed []string
-	cfg = makeCfg()
+	f := m.NewFunc("main", nil, false)
+	entry := f.NewBlock("entry")
+	head := f.NewBlock("head")
+	body := f.NewBlock("body")
+	done := f.NewBlock("done")
+	b := ir.NewBuilder(f).At(entry)
+	b.Emit(&ir.Checkpoint{ID: 0, Kind: ir.CkRollback, RegsOnly: true})
+	zero := b.Const(0)
+	b.Store(acc, zero)
+	b.Store(idx, zero)
+	b.Jmp(head)
+	b.At(head)
+	b.Br(b.Bin(ir.OpLt, b.Load(idx), b.Const(int64(n))), body, done)
+	b.At(body)
+	b.Call(step)
+	b.Jmp(head)
+	b.At(done)
+	b.Out(b.Load(acc))
+	b.Ret()
+
+	if err := ir.Verify(m); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	return m
+}
+
+// TestResumeMarksStackReplay pins the one semantic a block-counting
+// observer relies on under power failures: after a snapshot restore the
+// restored call stack is replayed as Resume-marked entries — the frames
+// saved at the checkpoint, outermost first — while every other entry is
+// a real control transfer (a call into a function's entry block, or a
+// branch to a successor of the frame's current block). An observer that
+// skips Resume entries therefore sees each executed block entry once.
+func TestResumeMarksStackReplay(t *testing.T) {
+	var (
+		stack, saved, replay []level
+		failed               bool
+		replays, deepest     int
+	)
+	checkReplay := func() {
+		if len(replay) == 0 {
+			return
+		}
+		replays++
+		deepest = max(deepest, len(replay))
+		if fmt.Sprint(replay) != fmt.Sprint(saved) {
+			t.Errorf("replayed stack %v, saved at the checkpoint %v", replay, saved)
+		}
+		stack, replay = replay, nil
+	}
+	cfg := baseCfg()
+	cfg.Intermittent = true
+	cfg.EB = 1500
 	cfg.Observer = observerFunc(func(e Event) {
 		switch e.Kind {
+		case EvPowerFailure:
+			failed = true
+			stack = nil
+		case EvSave:
+			saved = append(saved[:0], stack...)
 		case EvBlockEnter:
-			if !e.Resume {
-				observed = append(observed, fmt.Sprintf("enter %s.%s", e.Fn.Name, e.Block.Name))
+			if e.Resume {
+				if !failed || !e.Call {
+					t.Errorf("Resume entry %s.%s outside a post-failure replay (call=%v)", e.Fn.Name, e.Block.Name, e.Call)
+				}
+				replay = append(replay, level{e.Fn, e.Block})
+				return
 			}
+			checkReplay()
+			failed = false
+			if e.Call {
+				if e.Block != e.Fn.Entry() {
+					t.Errorf("call entry into %s.%s, not the entry block", e.Fn.Name, e.Block.Name)
+				}
+				stack = append(stack, level{e.Fn, e.Block})
+				return
+			}
+			top := &stack[len(stack)-1]
+			if top.fn != e.Fn || !isSuccessor(top.block, e.Block) {
+				t.Errorf("entry %s.%s is no branch from %s.%s", e.Fn.Name, e.Block.Name, top.fn.Name, top.block.Name)
+			}
+			top.block = e.Block
 		case EvFuncReturn:
-			observed = append(observed, "ret")
+			checkReplay()
+			stack = stack[:len(stack)-1]
 		}
 	})
-	resB, err := Run(ratchetLoopProgram(t, 200), cfg)
+	res, err := Run(ratchetCallProgram(t, 200), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Verdict != Completed {
+		t.Fatalf("verdict = %v", res.Verdict)
+	}
+	if res.PowerFailures == 0 || replays == 0 {
+		t.Fatalf("%d power failures, %d stack replays: the Resume path was not exercised", res.PowerFailures, replays)
+	}
+	if deepest < 2 {
+		t.Errorf("deepest stack replay has %d frames; want the two-frame stack of a failure inside step", deepest)
+	}
+}
 
-	if resA.PowerFailures == 0 {
-		t.Fatalf("run saw no power failures; the Resume path was not exercised")
-	}
-	if resA.Steps != resB.Steps {
-		t.Fatalf("runs diverged: %d vs %d steps", resA.Steps, resB.Steps)
-	}
-	if len(legacy) != len(observed) {
-		t.Fatalf("legacy saw %d events, observer %d", len(legacy), len(observed))
-	}
-	for i := range legacy {
-		if legacy[i] != observed[i] {
-			t.Fatalf("event %d: legacy %q, observer %q", i, legacy[i], observed[i])
+// level is one mirrored call-stack frame: a function and its current
+// block.
+type level struct {
+	fn    *ir.Func
+	block *ir.Block
+}
+
+func (l level) String() string { return l.fn.Name + "." + l.block.Name }
+
+func isSuccessor(from, to *ir.Block) bool {
+	for _, s := range from.Succs() {
+		if s == to {
+			return true
 		}
 	}
+	return false
 }
 
 type observerFunc func(Event)
@@ -206,22 +291,29 @@ func TestMultiObserverNilPath(t *testing.T) {
 // observer configured, growing the instruction count must not grow the
 // allocation count — events are never constructed. A small constant
 // difference (map growth inside the machine) is tolerated; a per-
-// instruction allocation would show up as thousands.
+// instruction allocation would show up as thousands. The same holds
+// with a counter set attached: counting bumps preallocated slices.
 func TestNilObserverNoPerInstructionAllocs(t *testing.T) {
 	small := loopProgram(t, 100, -1, false)
 	large := loopProgram(t, 5000, -1, false)
-	run := func(m *ir.Module) func() {
-		return func() {
-			if _, err := Run(m, baseCfg()); err != nil {
-				t.Fatal(err)
+	for _, counted := range []bool{false, true} {
+		run := func(m *ir.Module) func() {
+			cfg := baseCfg()
+			if counted {
+				cfg.Counts = NewCounts(dispatch.For(m, cfg.Model))
+			}
+			return func() {
+				if _, err := Run(m, cfg); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	allocsSmall := testing.AllocsPerRun(5, run(small))
-	allocsLarge := testing.AllocsPerRun(5, run(large))
-	if allocsLarge > allocsSmall+32 {
-		t.Errorf("allocations grow with run length: %d instructions → %.0f allocs, %d instructions → %.0f allocs",
-			100, allocsSmall, 5000, allocsLarge)
+		allocsSmall := testing.AllocsPerRun(5, run(small))
+		allocsLarge := testing.AllocsPerRun(5, run(large))
+		if allocsLarge > allocsSmall+32 {
+			t.Errorf("counted=%v: allocations grow with run length: %d instructions → %.0f allocs, %d instructions → %.0f allocs",
+				counted, 100, allocsSmall, 5000, allocsLarge)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"schematic/internal/ir"
@@ -190,11 +191,18 @@ entry:
 	}
 }
 
+func TestCollectRejectsNegativeRuns(t *testing.T) {
+	m := minic.MustCompile("prof", profSrc)
+	if _, err := Collect(m, Options{Runs: -1}); err == nil || !strings.Contains(err.Error(), "Runs") {
+		t.Errorf("Collect(Runs: -1) err = %v, want a Runs rejection", err)
+	}
+}
+
 // TestProfileCountsStableAcrossAdapter pins the exact counts Collect
 // gathers for a fixed program and seed. The profiler rides on the
-// emulator's legacy Trace/TraceRet callbacks, which are now adapted onto
-// the Observer event stream — these numbers must not move when the
-// adapter (or the event layer underneath it) changes.
+// emulator's control-transfer counters (emulator.Counts), bumped by the
+// compiled fast loop — these numbers must not move when the counters
+// (or the engine underneath them) change.
 func TestProfileCountsStableAcrossAdapter(t *testing.T) {
 	m := minic.MustCompile("prof", profSrc)
 	p, err := Collect(m, Options{Runs: 10, Seed: 42})
