@@ -48,7 +48,7 @@ type Options struct {
 	EB   float64 `json:"eb_nj,omitempty"`
 
 	VMSize      int   `json:"vm_size,omitempty"`      // SVM bytes; default 2048
-	ProfileRuns int   `json:"profile_runs,omitempty"` // default 50
+	ProfileRuns int   `json:"profile_runs,omitempty"` // default 50, at most maxProfileRuns
 	Seed        int64 `json:"seed,omitempty"`         // workload input seed; default 1
 
 	// Optimize runs the optimizer before placement (compile/emulate).
@@ -99,6 +99,11 @@ type Request struct {
 	Options Options `json:"options"`
 }
 
+// maxProfileRuns caps profile_runs at the paper's own count (III-A3).
+// Profiling cannot be interrupted, so the cap bounds how long one
+// request can hold a worker.
+const maxProfileRuns = 1000
+
 // normalize resolves a bundled benchmark, fills defaults, and
 // canonicalizes the technique spelling, so equivalent requests share one
 // content address.
@@ -139,6 +144,9 @@ func (r *Request) normalize(kind string) error {
 	}
 	if o.ProfileRuns <= 0 {
 		o.ProfileRuns = 50
+	}
+	if o.ProfileRuns > maxProfileRuns {
+		return fmt.Errorf("profile_runs must be at most %d, got %d", maxProfileRuns, o.ProfileRuns)
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

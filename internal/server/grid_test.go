@@ -357,6 +357,8 @@ func TestGridValidation(t *testing.T) {
 		{"unknown bench", GridRequest{Benches: []string{"nope"}, Techniques: []string{"schematic"}, TBPFs: []int64{500}}},
 		{"unknown technique", GridRequest{Benches: []string{"crc"}, Techniques: []string{"nope"}, TBPFs: []int64{500}}},
 		{"nonpositive tbpf", GridRequest{Benches: []string{"crc"}, Techniques: []string{"schematic"}, TBPFs: []int64{0}}},
+		{"profile runs above cap", GridRequest{Benches: []string{"crc"}, Techniques: []string{"schematic"}, TBPFs: []int64{500},
+			Options: Options{ProfileRuns: 5000}}},
 		{"cell cap", GridRequest{Benches: []string{"crc"}, Techniques: []string{"schematic", "ratchet"}, TBPFs: []int64{500, 1000}}},
 	}
 	for _, tc := range cases {

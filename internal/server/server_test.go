@@ -318,6 +318,7 @@ func TestBadRequests(t *testing.T) {
 		{Source: sumProg, Bench: "crc"},                           // mutually exclusive
 		{Bench: "no-such-benchmark"},                              // unknown benchmark
 		{Source: sumProg, Options: Options{TBPF: -1}},             // negative knob
+		{Source: sumProg, Options: Options{ProfileRuns: 1001}},    // above the paper's 1000 runs
 	} {
 		if code, body, _ := post(t, ts, "compile", bad); code != http.StatusBadRequest {
 			t.Errorf("request %+v: status %d, body %s", bad, code, body)
@@ -662,6 +663,21 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if cs := s.CacheStats(); cs.Misses != 4 || cs.Hits != 0 {
 		t.Fatalf("evicted entry still served: %+v", cs)
+	}
+}
+
+// TestProfileRunsBound: profile_runs is capped at the paper's 1000 runs
+// on every job endpoint; the cap itself is accepted. TestBadRequests
+// and TestGridValidation check the HTTP 400.
+func TestProfileRunsBound(t *testing.T) {
+	for _, kind := range []string{"compile", "emulate", "validate", "hunt", "verify"} {
+		if _, err := DigestOf(kind, Request{Source: sumProg, Options: Options{ProfileRuns: 1000}}); err != nil {
+			t.Errorf("%s: profile_runs 1000 rejected: %v", kind, err)
+		}
+		_, err := DigestOf(kind, Request{Source: sumProg, Options: Options{ProfileRuns: 1001}})
+		if err == nil || !strings.Contains(err.Error(), "profile_runs") {
+			t.Errorf("%s: profile_runs 1001: err = %v, want a profile_runs rejection", kind, err)
+		}
 	}
 }
 
